@@ -3,15 +3,21 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench cover fuzz chaos serve-smoke staticcheck check
+.PHONY: all build vet test race stress bench cover fuzz chaos serve-smoke staticcheck check
 
 all: check
 
 build:
 	$(GO) build ./...
 
+# vet also fails on any Go file gofmt would rewrite (hidden directories,
+# such as the benchmark's build cache, are skipped).
 vet: build
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' -not -path './.*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test: vet
 	$(GO) test ./...
@@ -23,6 +29,15 @@ test: vet
 # timeout — set it explicitly so the suite fails on real hangs, not load.
 race: vet
 	$(GO) test -race -timeout 30m ./...
+
+# Concurrency stress: the serve job-lifecycle tests and the cluster
+# dispatch tests, 50 times each under the race detector. A concurrency test
+# is trusted only once it passes every one of these runs.
+STRESS_COUNT ?= 50
+stress: vet
+	$(GO) test -race -count=$(STRESS_COUNT) ./internal/serve \
+		-run 'TestCancelPickupRace|TestCancel$$|TestConcurrentSubmitters|TestQueueFullRejects|TestDrain|TestJobTimeout|TestPanickingJobFailsNotTheDaemon'
+	$(GO) test -race -count=$(STRESS_COUNT) -run 'TestCluster|TestChaos' ./internal/cluster
 
 # Short-mode benchmarks: one iteration each at smoke scale, enough to catch
 # a benchmark that no longer compiles or panics without paying full cost.
@@ -87,7 +102,8 @@ staticcheck:
 
 # Fuzz smoke: a few seconds per target over the external-input boundaries
 # (binary trace reader, IPV parser), the single-pass multi-model replay
-# kernel, and the batched branch-free replay kernel's scalar equivalence.
+# kernel, and the batched branch-free replay kernel's scalar equivalence in
+# stream order and set-grouped.
 # Long campaigns run these by hand with a bigger -fuzztime.
 FUZZTIME ?= 10s
 fuzz:
@@ -95,6 +111,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseVector -fuzztime=$(FUZZTIME) ./internal/ipv
 	$(GO) test -run=^$$ -fuzz=FuzzMultiRunConsistency -fuzztime=$(FUZZTIME) ./internal/cpu
 	$(GO) test -run=^$$ -fuzz=FuzzBatchedReplayConsistency -fuzztime=$(FUZZTIME) ./internal/batchreplay
+	$(GO) test -run=^$$ -fuzz=FuzzGroupedReplayConsistency -fuzztime=$(FUZZTIME) ./internal/batchreplay
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzOnePassConsistency -fuzztime=$(FUZZTIME) ./internal/stackdist
 	$(GO) test -run=^$$ -fuzz=FuzzExplainDecomposition -fuzztime=$(FUZZTIME) ./internal/explain
@@ -105,4 +122,4 @@ fuzz:
 chaos: vet
 	$(GO) test -race -count=1 -run 'TestChaos' -v ./internal/cluster
 
-check: race fuzz chaos staticcheck serve-smoke
+check: race stress fuzz chaos staticcheck serve-smoke

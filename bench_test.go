@@ -473,7 +473,14 @@ func benchPolicy(b *testing.B, mk func(sets, ways int) cache.Policy) {
 	for i := 0; i < b.N; i++ {
 		cache.ReplayStream(stream, cfg, mk(cfg.Sets(), cfg.Ways), 0)
 	}
-	b.SetBytes(int64(len(stream)))
+	reportPerAccess(b, len(stream))
+}
+
+// reportPerAccess reports host time per simulated access. Replay
+// benchmarks report it instead of SetBytes, whose MB/s column would count
+// accesses as bytes.
+func reportPerAccess(b *testing.B, accesses int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accesses), "ns/access")
 }
 
 // BenchmarkReplayStream measures the simulator's hot loop on both engines.
@@ -495,13 +502,13 @@ func BenchmarkReplayStream(b *testing.B) {
 			c.SetTelemetry(sink)
 		}
 		b.ReportAllocs()
-		b.SetBytes(int64(len(stream)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, r := range stream {
 				c.Access(r)
 			}
 		}
+		reportPerAccess(b, len(stream))
 	}
 	runBatched := func(b *testing.B, sink *telemetry.Sink) {
 		pr, ok := cache.NewPackedReplay(cfg, policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR))
@@ -512,8 +519,10 @@ func BenchmarkReplayStream(b *testing.B) {
 			pr.K.SetTelemetry(sink)
 		}
 		var hits batchreplay.HitBits
+		// The first block allocates the kernel's per-line arrays; settle it
+		// outside the timed region so allocs/op counts the steady state.
+		pr.K.AccessBlock(stream[:1], &hits)
 		b.ReportAllocs()
-		b.SetBytes(int64(len(stream)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for off := 0; off < len(stream); off += batchreplay.BlockSize {
@@ -524,11 +533,32 @@ func BenchmarkReplayStream(b *testing.B) {
 				pr.K.AccessBlock(stream[off:end], &hits)
 			}
 		}
+		reportPerAccess(b, len(stream))
 	}
 	b.Run("scalar/telemetry=off", func(b *testing.B) { runScalar(b, nil) })
 	b.Run("scalar/telemetry=on", func(b *testing.B) { runScalar(b, &telemetry.Sink{}) })
 	b.Run("batched/telemetry=off", func(b *testing.B) { runBatched(b, nil) })
 	b.Run("batched/telemetry=on", func(b *testing.B) { runBatched(b, &telemetry.Sink{}) })
+}
+
+// BenchmarkGAFitness measures one GA fitness evaluation, the evolve path:
+// single-vector GIPPR over every GA stream of the lab, which ga.Env replays
+// set by set from each stream's grouped layout. The baselines and layouts
+// are settled before timing. It runs on one worker, so ns/record is host
+// time per replayed LLC record.
+func BenchmarkGAFitness(b *testing.B) {
+	env := lab().GAEnv().SetWorkers(1)
+	env.Fitness(ipv.PaperWIGIPPR)
+	records := 0
+	for _, s := range env.Streams() {
+		records += len(s.Records)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Fitness(ipv.PaperWIGIPPR)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
 
 func BenchmarkPolicyLRU(b *testing.B) {
@@ -565,7 +595,7 @@ func BenchmarkBeladyOptimal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		policy.Optimal(stream, cache.L3Config, 0)
 	}
-	b.SetBytes(int64(len(stream)))
+	reportPerAccess(b, len(stream))
 }
 
 func BenchmarkWindowModel(b *testing.B) {

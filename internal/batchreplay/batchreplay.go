@@ -112,6 +112,7 @@ type Kernel struct {
 	setMask    uint64
 	blockShift uint
 
+	// Per-line state, allocated on the first AccessBlock (allocLines).
 	tags  []uint64 // [set*ways+way]: full block number (tag+index)
 	valid []uint64 // per set: way-indexed valid bitmask
 	dirty []uint64 // per set: way-indexed dirty bitmask
@@ -132,6 +133,10 @@ type Kernel struct {
 
 	stats Stats
 	tel   *telemetry.Sink
+	// grouped is set once ReplayGrouped has run: the per-line arrays then
+	// no longer describe the tree words, so the kernel takes no more
+	// accesses.
+	grouped bool
 
 	// Decode scratch, reused across blocks so the steady state allocates
 	// nothing.
@@ -163,18 +168,13 @@ func New(sets, ways int, blockShift uint, sampled []bool, vec []int) *Kernel {
 			panic(fmt.Sprintf("batchreplay: vector entry %d is %d, outside 0..%d", i, e, ways-1))
 		}
 	}
-	sigWords := (ways + 7) / 8
 	k := &Kernel{
 		sets:       sets,
 		ways:       ways,
 		setMask:    uint64(sets - 1),
 		blockShift: blockShift,
-		tags:       make([]uint64, sets*ways),
-		valid:      make([]uint64, sets),
-		dirty:      make([]uint64, sets),
-		sigWords:   sigWords,
+		sigWords:   (ways + 7) / 8,
 		sigShift:   uint(bits.Len(uint(sets - 1))),
-		sig:        make([]uint64, sets*sigWords),
 		plru:       make([]uint64, sets),
 		ops:        plrutree.NewPacked(ways),
 		vec:        append([]int(nil), vec[:ways]...),
@@ -182,6 +182,20 @@ func New(sets, ways int, blockShift uint, sampled []bool, vec []int) *Kernel {
 		sampled:    sampled,
 	}
 	return k
+}
+
+// allocLines allocates the per-line arrays on the first stream-order
+// access. They are most of a kernel's footprint (the tag array alone is
+// sets x ways x 8 bytes), and a grouped replay (ReplayGrouped) never needs
+// them, so New leaves them out.
+func (k *Kernel) allocLines() {
+	if k.grouped {
+		panic("batchreplay: stream-order access after a grouped replay")
+	}
+	k.tags = make([]uint64, k.sets*k.ways)
+	k.valid = make([]uint64, k.sets)
+	k.dirty = make([]uint64, k.sets)
+	k.sig = make([]uint64, k.sets*k.sigWords)
 }
 
 // SetTelemetry attaches an event sink (nil detaches), sized for the modeled
@@ -223,6 +237,9 @@ func (k *Kernel) AccessBlock(recs []trace.Record, hits *HitBits) {
 	n := len(recs)
 	if n > BlockSize {
 		panic("batchreplay: block exceeds BlockSize")
+	}
+	if k.tags == nil {
+		k.allocLines()
 	}
 	for i := 0; i < n; i++ {
 		b := recs[i].Addr >> k.blockShift

@@ -1,6 +1,7 @@
 package batchreplay_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -72,6 +73,61 @@ func FuzzBatchedReplayConsistency(f *testing.F) {
 				t.Fatalf("set %d final tree state %#x != scalar %#x (cfg %+v vec %v warm %d)",
 					set, fb, sb, cfg, vec, warm)
 			}
+		}
+	})
+}
+
+// FuzzGroupedReplayConsistency holds the set-grouped replay to the
+// stream-order kernel and to scalar Cache.Access on arbitrary streams and
+// geometries: every counter, the measured instructions and every final tree
+// word must agree. The input is FuzzBatchedReplayConsistency's, plus a
+// high-address byte that lifts some records' tags past 31 bits; a stream
+// with such a tag must refuse to group, and any other stream must group.
+func FuzzGroupedReplayConsistency(f *testing.F) {
+	f.Add([]byte{0, 1, 64, 1, 128, 2, 0, 1}, uint8(1), uint8(2), uint8(0), uint8(2), uint64(0), uint8(0))
+	f.Add([]byte{7, 3, 7, 3, 9, 1, 200, 5, 13, 2}, uint8(2), uint8(0), uint8(1), uint8(0), uint64(0x1234), uint8(0))
+	f.Add([]byte{255, 255, 0, 0, 128, 128, 64, 9}, uint8(0), uint8(3), uint8(3), uint8(4), uint64(99), uint8(3))
+	f.Add([]byte{1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6}, uint8(5), uint8(1), uint8(2), uint8(7), uint64(7), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, waysExp, setsExp, shiftByte, warmByte uint8, vecSeed uint64, high uint8) {
+		if len(data) < 2 || len(data) > 1024 {
+			t.Skip()
+		}
+		ways := 2 << (waysExp % 6)
+		sets := 1 << (setsExp % 4)
+		stream := make([]trace.Record, 0, len(data)/2)
+		wide := false
+		for i := 0; i+1 < len(data); i += 2 {
+			addr := uint64(data[i]) * 64
+			// Every high-th record gets address bit 40+ set: with at most 8
+			// sets, its tag then needs more than 31 bits.
+			if high != 0 && (i/2)%int(high) == 0 {
+				addr |= uint64(data[i+1]) << 40
+				wide = wide || data[i+1] != 0
+			}
+			stream = append(stream, trace.Record{
+				Addr:  addr,
+				Gap:   uint32(data[i+1]%64) + 1,
+				Write: data[i]&1 == 1,
+			})
+		}
+		cfg := cache.Config{Name: "fz", SizeBytes: sets * ways * 64, Ways: ways, BlockBytes: 64,
+			HitLatency: 30}
+		if shift, err := cfg.CheckSampleShift(int(shiftByte % 4)); err == nil {
+			cfg.SampleShift = shift
+		}
+		warm := int(warmByte) % (len(stream) + 2)
+		vec := ipv.New(ways)
+		s := vecSeed
+		for i := range vec {
+			s = s*6364136223846793005 + 1442695040888963407
+			vec[i] = int(s>>33) % ways
+		}
+		r, ok := replayThree(t, stream, cfg, vec, warm)
+		if ok == wide {
+			t.Fatalf("grouped = %v for a stream with wide tags = %v", ok, wide)
+		}
+		if ok {
+			r.check(t, fmt.Sprintf("cfg %+v vec %v warm %d", cfg, vec, warm))
 		}
 	})
 }

@@ -1,10 +1,9 @@
 package cache
 
 import (
-	"math/bits"
-
 	"gippr/internal/batchreplay"
 	"gippr/internal/plrutree"
+	"gippr/internal/trace"
 )
 
 // treeExposer is the accessor the tree-PLRU policy family provides for its
@@ -58,8 +57,7 @@ func NewPackedReplay(cfg Config, pol Policy) (*PackedReplay, bool) {
 			sampled[set] = cfg.InSample(uint32(set))
 		}
 	}
-	blockShift := uint(bits.TrailingZeros(uint(cfg.BlockBytes)))
-	k := batchreplay.New(sets, cfg.Ways, blockShift, sampled, vec)
+	k := batchreplay.New(sets, cfg.Ways, cfg.blockShift(), sampled, vec)
 	for set := 0; set < sets; set++ {
 		k.SetPLRUBits(set, te.Tree(uint32(set)).Bits())
 	}
@@ -71,5 +69,40 @@ func NewPackedReplay(cfg Config, pol Policy) (*PackedReplay, bool) {
 func (p *PackedReplay) Finish() {
 	for set := 0; set < p.sets; set++ {
 		p.pol.Tree(uint32(set)).SetBits(p.K.PLRUBits(set))
+	}
+}
+
+// Replay runs stream through the kernel with the ReplayStream protocol (warm
+// on the first warm records, then measure) and finishes: the packed half
+// of ReplayStreamTel.
+func (p *PackedReplay) Replay(stream []trace.Record, warm int) ReplayStats {
+	r := p.K.Replay(stream, warm)
+	p.Finish()
+	return replayStats(r)
+}
+
+// ReplayGrouped is Replay over the stream's set-grouped layout (built by
+// batchreplay.Group for this geometry and warm length): the same stats and
+// final policy state, computed one set at a time. It cannot carry
+// telemetry; see batchreplay.Kernel.ReplayGrouped.
+func (p *PackedReplay) ReplayGrouped(g *batchreplay.Grouped) ReplayStats {
+	r := p.K.ReplayGrouped(g)
+	p.Finish()
+	return replayStats(r)
+}
+
+// Group builds stream's set-grouped layout for cfg's geometry and the given
+// warm length, or returns nil when the stream cannot be grouped (a tag
+// wider than 31 bits); see batchreplay.Group.
+func Group(stream []trace.Record, cfg Config, warm int) *batchreplay.Grouped {
+	return batchreplay.Group(stream, cfg.Sets(), cfg.blockShift(), warm)
+}
+
+func replayStats(r batchreplay.Result) ReplayStats {
+	return ReplayStats{
+		Accesses:     r.Accesses,
+		Hits:         r.Hits,
+		Misses:       r.Misses,
+		Instructions: r.Instructions,
 	}
 }

@@ -205,6 +205,10 @@ func (c Config) CheckSampleShift(shift int) (uint, error) {
 	return uint(shift), nil
 }
 
+// blockShift is log2 of the block size: an address's block number is
+// addr >> blockShift.
+func (c Config) blockShift() uint { return uint(bits.TrailingZeros(uint(c.BlockBytes))) }
+
 // Sets returns the number of sets implied by the geometry. It panics if the
 // geometry is inconsistent or not a power of two.
 func (c Config) Sets() int {
@@ -291,7 +295,7 @@ func New(cfg Config, pol Policy) *Cache {
 		sets:       sets,
 		ways:       cfg.Ways,
 		setMask:    uint64(sets - 1),
-		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+		blockShift: cfg.blockShift(),
 		lines:      make([]line, sets*cfg.Ways),
 		pol:        pol,
 	}

@@ -193,14 +193,7 @@ func ReplayStreamTel(stream []trace.Record, cfg Config, pol Policy, warm int, te
 		if tel != nil {
 			pr.K.SetTelemetry(tel)
 		}
-		r := pr.K.Replay(stream, warm)
-		pr.Finish()
-		return ReplayStats{
-			Accesses:     r.Accesses,
-			Hits:         r.Hits,
-			Misses:       r.Misses,
-			Instructions: r.Instructions,
-		}
+		return pr.Replay(stream, warm)
 	}
 	c := New(cfg, pol)
 	if tel != nil {

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"gippr/internal/batchreplay"
 	"gippr/internal/cache"
 	"gippr/internal/cpu"
 	"gippr/internal/ipv"
@@ -35,7 +36,8 @@ type Stream struct {
 //
 // Env is safe for concurrent use: the streams are immutable, the policy
 // constructors build fresh unshared instances, and the lazily computed LRU
-// baseline is guarded by a sync.Once. Every evaluation entry point (Fitness,
+// baselines and set-grouped stream layouts are each guarded by a sync.Once.
+// Every evaluation entry point (Fitness,
 // PerStream, RandomSearch, Evolve, SelectComplementary) fans work out over
 // Workers goroutines while drawing all random numbers serially, so results
 // are bit-identical for every worker count.
@@ -62,6 +64,15 @@ type Env struct {
 	// the construction cost lands under the caller's chosen Workers.
 	baseOnce sync.Once
 	baseCPI  []float64
+	// grouped holds each stream's set-grouped layout (nil for a stream that
+	// cannot be grouped), built once on the first replay of a packable
+	// policy, so an environment that never scores one never pays for it. A
+	// Subset view takes its layouts from parent: those of parent's streams
+	// parentIdx.
+	groupOnce sync.Once
+	grouped   []*batchreplay.Grouped
+	parent    *Env
+	parentIdx []int
 }
 
 // NewEnv builds a fitness environment. newLRU builds the baseline policy
@@ -124,15 +135,53 @@ func (e *Env) baselines() []float64 {
 	return e.baseCPI
 }
 
+// layouts returns the per-stream set-grouped layouts, building them in
+// parallel exactly once.
+func (e *Env) layouts() []*batchreplay.Grouped {
+	e.groupOnce.Do(func() {
+		if e.parent != nil {
+			all := e.parent.layouts()
+			for _, i := range e.parentIdx {
+				e.grouped = append(e.grouped, all[i])
+			}
+			return
+		}
+		g := make([]*batchreplay.Grouped, len(e.streams))
+		parallel.For(e.Workers, len(e.streams), func(i int) {
+			recs := e.streams[i].Records
+			g[i] = cache.Group(recs, e.Config, e.warm(len(recs)))
+		})
+		e.grouped = g
+	})
+	return e.grouped
+}
+
 func (e *Env) warm(n int) int { return int(float64(n) * e.WarmFrac) }
+
+// replay scores stream i under pol. A policy the batched kernel models
+// (cache.NewPackedReplay engages) replays the stream's set-grouped layout,
+// which gives the same ReplayStats as replaying the stream in order; any
+// other policy, and a stream that could not be grouped, takes the
+// stream-order path.
+func (e *Env) replay(i int, pol cache.Policy) cache.ReplayStats {
+	recs := e.streams[i].Records
+	pr, ok := cache.NewPackedReplay(e.Config, pol)
+	if !ok {
+		return cache.ReplayStream(recs, e.Config, pol, e.warm(len(recs)))
+	}
+	if g := e.layouts()[i]; g != nil {
+		return pr.ReplayGrouped(g)
+	}
+	return pr.Replay(recs, e.warm(len(recs)))
+}
 
 // Streams returns the environment's streams (shared; do not mutate).
 func (e *Env) Streams() []Stream { return e.streams }
 
 // Subset returns a new Env restricted to streams whose workload passes
-// keep, re-using the precomputed baselines. This implements the paper's
-// workload-neutral (WNk) cross-validation: evolve on the complement of the
-// held-out workloads.
+// keep, re-using the precomputed baselines and sharing the parent's
+// set-grouped layouts. This implements the paper's workload-neutral (WNk)
+// cross-validation: evolve on the complement of the held-out workloads.
 func (e *Env) Subset(keep func(workload string) bool) *Env {
 	base := e.baselines()
 	sub := &Env{
@@ -143,18 +192,18 @@ func (e *Env) Subset(keep func(workload string) bool) *Env {
 		Workers:      e.Workers,
 		newLRU:       e.newLRU,
 		sampleFactor: e.sampleFactor,
+		parent:       e,
 	}
-	var subBase []float64
 	for i, s := range e.streams {
 		if keep(s.Workload) {
 			sub.streams = append(sub.streams, s)
-			subBase = append(subBase, base[i])
+			sub.baseCPI = append(sub.baseCPI, base[i])
+			sub.parentIdx = append(sub.parentIdx, i)
 		}
 	}
 	if len(sub.streams) == 0 {
 		panic("ga: Subset kept no streams")
 	}
-	sub.baseCPI = subBase
 	sub.baseOnce.Do(func() {}) // baselines inherited, never recomputed
 	return sub
 }
@@ -167,9 +216,7 @@ func (e *Env) PerStream(v ipv.Vector) []float64 {
 	sets := e.Config.Sets()
 	out := make([]float64, len(e.streams))
 	parallel.For(e.Workers, len(e.streams), func(i int) {
-		s := e.streams[i]
-		pol := e.NewPolicy(sets, e.Config.Ways, v)
-		rs := cache.ReplayStream(s.Records, e.Config, pol, e.warm(len(s.Records)))
+		rs := e.replay(i, e.NewPolicy(sets, e.Config.Ways, v))
 		out[i] = base[i] / e.cpi(rs)
 	})
 	return out

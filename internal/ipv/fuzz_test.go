@@ -17,9 +17,9 @@ func FuzzParseVector(f *testing.F) {
 	f.Add("9999999999999999999999")
 	f.Add("-1 0 0")
 	f.Add("0,1,\t2 ,3,1")
-	f.Add(LRU(16).String())      // checkpoint payloads store String() forms
+	f.Add(LRU(16).String()) // checkpoint payloads store String() forms
 	f.Add(MidClimb(16).String())
-	f.Add("1 1 1")               // entries must stay below k
+	f.Add("1 1 1") // entries must stay below k
 	f.Add("0 0 1e2")
 	f.Add(strings.Repeat("0 ", 1024))
 	f.Fuzz(func(t *testing.T, s string) {

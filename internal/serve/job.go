@@ -114,6 +114,7 @@ type Job struct {
 	ipvCanon string                   // canonical form of Req.IPV (ipv.Parse -> String), "" if unset
 	sweep    *experiments.LatticeSpec // non-nil switches the job to the one-pass engine
 	explain  bool                     // true switches the job to the policy-diff engine (specs = [A, B])
+	metrics  *Metrics                 // the owning server's counters, moved by every state transition
 
 	mu       sync.Mutex
 	state    State
@@ -171,6 +172,7 @@ func (j *Job) setRunning(cancel context.CancelFunc) bool {
 	if j.state.Terminal() {
 		return false
 	}
+	j.metrics.transition(j.state, StateRunning)
 	j.state = StateRunning
 	j.started = time.Now()
 	j.cancel = cancel
@@ -178,20 +180,25 @@ func (j *Job) setRunning(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish transitions to a terminal state exactly once and reports whether
-// this call performed the transition — the caller's metrics must count a
-// state change only when it actually happened, not on every attempt.
-func (j *Job) finish(state State, err error) bool {
+// finish transitions to a terminal state exactly once; later calls are
+// no-ops. The metrics count the transition inside it, before watchers wake,
+// so a client that sees the terminal state never reads stale counters.
+func (j *Job) finish(state State, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.settle(state, err)
+}
+
+// settle is finish with j.mu held.
+func (j *Job) settle(state State, err error) {
 	if j.state.Terminal() {
-		return false
+		return
 	}
+	j.metrics.transition(j.state, state)
 	j.state = state
 	j.err = err
 	j.finished = time.Now()
 	j.broadcast()
-	return true
 }
 
 // Cancel requests cooperative cancellation of a running job; a queued job
@@ -216,10 +223,7 @@ func (j *Job) Cancel() {
 	}
 	// Still queued: terminal immediately, under the same lock the worker's
 	// setRunning will take — no resurrection window.
-	j.state = StateCancelled
-	j.err = context.Canceled
-	j.finished = time.Now()
-	j.broadcast()
+	j.settle(StateCancelled, context.Canceled)
 	j.mu.Unlock()
 }
 

@@ -24,7 +24,12 @@ type Metrics struct {
 	failed        atomic.Uint64
 	cancelled     atomic.Uint64
 	panicked      atomic.Uint64
-	inflight      atomic.Int64
+	// queued and inflight are gauges of the jobs in those states. Every
+	// count above them except panicked moves only inside a job's state
+	// transition (transition), so at rest
+	//   submitted == queued + inflight + done + failed + cancelled + rejectedDrain.
+	queued   atomic.Int64
+	inflight atomic.Int64
 
 	cells    atomic.Uint64
 	accesses atomic.Uint64
@@ -35,6 +40,29 @@ type Metrics struct {
 
 func newMetrics() *Metrics {
 	return &Metrics{start: time.Now(), perPolicy: make(map[string]*telemetry.Histogram)}
+}
+
+// transition counts one job's move from one state to the next. The job
+// calls it with its own lock held, before waking watchers.
+func (m *Metrics) transition(from, to State) {
+	switch from {
+	case StateQueued:
+		m.queued.Add(-1)
+	case StateRunning:
+		m.inflight.Add(-1)
+	}
+	switch to {
+	case StateRunning:
+		m.inflight.Add(1)
+	case StateDone:
+		m.done.Add(1)
+	case StateFailed:
+		m.failed.Add(1)
+	case StateCancelled:
+		m.cancelled.Add(1)
+	case StateRejected:
+		m.rejectedDrain.Add(1)
+	}
 }
 
 // cellDone records one completed grid cell: its replayed LLC accesses (the
@@ -55,14 +83,17 @@ func (m *Metrics) cellDone(c experiments.GridCell, sinceStart time.Duration) {
 
 // MetricsSnapshot is the /metrics JSON document.
 type MetricsSnapshot struct {
-	UptimeSec     float64 `json:"uptime_sec"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCap      int     `json:"queue_cap"`
-	JobsInflight  int64   `json:"jobs_inflight"`
-	JobsSubmitted uint64  `json:"jobs_submitted"`
-	JobsDone      uint64  `json:"jobs_done"`
-	JobsFailed    uint64  `json:"jobs_failed"`
-	JobsCancelled uint64  `json:"jobs_cancelled"`
+	UptimeSec  float64 `json:"uptime_sec"`
+	QueueDepth int     `json:"queue_depth"`
+	QueueCap   int     `json:"queue_cap"`
+	// JobsQueued counts submitted jobs still waiting for a worker; unlike
+	// QueueDepth it drops as soon as a queued job is cancelled.
+	JobsQueued    int64  `json:"jobs_queued"`
+	JobsInflight  int64  `json:"jobs_inflight"`
+	JobsSubmitted uint64 `json:"jobs_submitted"`
+	JobsDone      uint64 `json:"jobs_done"`
+	JobsFailed    uint64 `json:"jobs_failed"`
+	JobsCancelled uint64 `json:"jobs_cancelled"`
 	// JobsPanicked counts grid bodies that panicked (each also counts as
 	// failed); the daemon survives every one of them.
 	JobsPanicked  uint64 `json:"jobs_panicked"`
@@ -140,6 +171,7 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		UptimeSec:       up,
 		QueueDepth:      s.QueueDepth(),
 		QueueCap:        s.cfg.QueueDepth,
+		JobsQueued:      m.queued.Load(),
 		JobsInflight:    m.inflight.Load(),
 		JobsSubmitted:   m.submitted.Load(),
 		JobsDone:        m.done.Load(),

@@ -363,6 +363,7 @@ func (s *Server) resolve(req JobRequest) (*Job, error) {
 		ipvCanon: ipvCanon,
 		sweep:    sweep,
 		explain:  explainJob,
+		metrics:  s.metrics,
 		state:    StateQueued,
 		created:  time.Now(),
 		updated:  make(chan struct{}),
@@ -390,7 +391,11 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	}
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
+	// Counted before s.mu is released: the worker that dequeues the job
+	// takes s.mu before its first transition, and only the caller, after
+	// Submit returns, can cancel it.
 	s.metrics.submitted.Add(1)
+	s.metrics.queued.Add(1)
 	return job, nil
 }
 
@@ -429,9 +434,7 @@ func (s *Server) worker() {
 		draining := s.draining
 		s.mu.Unlock()
 		if draining {
-			if job.finish(StateRejected, ErrDraining) {
-				s.metrics.rejectedDrain.Add(1)
-			}
+			job.finish(StateRejected, ErrDraining)
 			continue
 		}
 		s.run(job)
@@ -456,8 +459,6 @@ func (s *Server) run(job *Job) {
 	if !job.setRunning(cancel) {
 		return
 	}
-	s.metrics.inflight.Add(1)
-	defer s.metrics.inflight.Add(-1)
 
 	fp := s.fingerprint(job)
 	if s.serveFromStore(job, fp) {
@@ -473,17 +474,11 @@ func (s *Server) run(job *Job) {
 		// entry on disk, never a window where the job is done but the
 		// write-behind is still racing.
 		s.persist(job, fp)
-		if job.finish(StateDone, nil) {
-			s.metrics.done.Add(1)
-		}
+		job.finish(StateDone, nil)
 	case runctx.Cancelled(err):
-		if job.finish(StateCancelled, err) {
-			s.metrics.cancelled.Add(1)
-		}
+		job.finish(StateCancelled, err)
 	default:
-		if job.finish(StateFailed, err) {
-			s.metrics.failed.Add(1)
-		}
+		job.finish(StateFailed, err)
 	}
 }
 
@@ -588,9 +583,7 @@ func (s *Server) serveFromStore(job *Job, fp string) bool {
 	for _, e := range stored.Explanations {
 		job.appendExplanation(e)
 	}
-	if job.finish(StateDone, nil) {
-		s.metrics.done.Add(1)
-	}
+	job.finish(StateDone, nil)
 	return true
 }
 

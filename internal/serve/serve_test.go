@@ -39,6 +39,21 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// assertConserved checks job-counter conservation with the daemon at rest:
+// every accepted submission is queued, in flight, or counted in exactly one
+// terminal state. Rejections at submission are never submitted, so they sit
+// outside the sum.
+func assertConserved(t *testing.T, snap MetricsSnapshot) {
+	t.Helper()
+	held := uint64(snap.JobsQueued + snap.JobsInflight)
+	settled := snap.JobsDone + snap.JobsFailed + snap.JobsCancelled + snap.RejectedDrain
+	if snap.JobsQueued < 0 || snap.JobsInflight < 0 || snap.JobsSubmitted != held+settled {
+		t.Errorf("counters not conserved: submitted %d != queued %d + inflight %d + done %d + failed %d + cancelled %d + rejected_draining %d",
+			snap.JobsSubmitted, snap.JobsQueued, snap.JobsInflight, snap.JobsDone, snap.JobsFailed,
+			snap.JobsCancelled, snap.RejectedDrain)
+	}
+}
+
 func postJob(t *testing.T, ts *httptest.Server, req JobRequest) (JobStatus, *http.Response) {
 	t.Helper()
 	body, _ := json.Marshal(req)
@@ -284,9 +299,10 @@ func TestQueueFullRejects(t *testing.T) {
 	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Rejected429 != 1 || snap.JobsSubmitted != 2 || snap.JobsInflight != 1 {
-		t.Errorf("metrics = %+v, want 1 rejection, 2 submitted, 1 inflight", snap)
+	if snap.Rejected429 != 1 || snap.JobsSubmitted != 2 || snap.JobsInflight != 1 || snap.JobsQueued != 1 {
+		t.Errorf("metrics = %+v, want 1 rejection, 2 submitted, 1 inflight, 1 queued", snap)
 	}
+	assertConserved(t, snap)
 	_ = st1
 }
 
@@ -347,6 +363,11 @@ func TestDrain(t *testing.T) {
 	if st := qj.Status(); st.State != StateRejected {
 		t.Errorf("queued job after drain = %s, want rejected", st.State)
 	}
+	snap := s.Snapshot()
+	assertConserved(t, snap)
+	if snap.JobsDone != 1 || snap.RejectedDrain != 1 {
+		t.Errorf("metrics done %d, rejected_draining %d; want 1, 1", snap.JobsDone, snap.RejectedDrain)
+	}
 }
 
 // TestConcurrentSubmitters hammers a small queue from many goroutines (the
@@ -402,6 +423,11 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 	for _, id := range accepted {
 		waitState(t, ts, id, StateDone)
+	}
+	snap := s.Snapshot()
+	assertConserved(t, snap)
+	if snap.JobsDone != uint64(len(accepted)) || snap.Rejected429 != uint64(rejected) {
+		t.Errorf("metrics done %d, rejected %d; want %d, %d", snap.JobsDone, snap.Rejected429, len(accepted), rejected)
 	}
 }
 
@@ -486,6 +512,13 @@ func TestCancel(t *testing.T) {
 	}
 	waitState(t, ts, running.ID, StateCancelled)
 	waitState(t, ts, queued.ID, StateCancelled)
+	// Both cancellations count, the queued one included, and the queued
+	// job has left the queued gauge though it still sits in the channel.
+	snap := s.Snapshot()
+	assertConserved(t, snap)
+	if snap.JobsCancelled != 2 || snap.JobsQueued != 0 {
+		t.Errorf("metrics cancelled %d, queued %d; want 2, 0", snap.JobsCancelled, snap.JobsQueued)
+	}
 }
 
 // TestJobTimeout: a request deadline cancels the job as cancelled, not
@@ -626,6 +659,7 @@ func TestCancelPickupRace(t *testing.T) {
 	if done+cancelled != len(attempts) {
 		t.Errorf("done %d + cancelled %d != %d jobs", done, cancelled, len(attempts))
 	}
+	assertConserved(t, snap)
 }
 
 // TestStatusOf pins the error -> HTTP mapping.
