@@ -33,11 +33,10 @@ race: vet
 # Concurrency stress: the serve job-lifecycle tests and the cluster
 # dispatch tests, 50 times each under the race detector. A concurrency test
 # is trusted only once it passes every one of these runs.
-STRESS_COUNT ?= 50
 stress: vet
-	$(GO) test -race -count=$(STRESS_COUNT) ./internal/serve \
+	$(GO) test -race -count=50 ./internal/serve \
 		-run 'TestCancelPickupRace|TestCancel$$|TestConcurrentSubmitters|TestQueueFullRejects|TestDrain|TestJobTimeout|TestPanickingJobFailsNotTheDaemon'
-	$(GO) test -race -count=$(STRESS_COUNT) -run 'TestCluster|TestChaos' ./internal/cluster
+	$(GO) test -race -count=50 -run 'TestCluster|TestChaos' ./internal/cluster
 
 # Short-mode benchmarks: one iteration each at smoke scale, enough to catch
 # a benchmark that no longer compiles or panics without paying full cost.
