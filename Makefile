@@ -62,18 +62,14 @@ cover: vet
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t+0 < min+0) { printf "coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
 		printf "coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@sd=$$($(GO) test -short -count=1 -cover ./internal/stackdist | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
-	awk -v t=$$sd -v min=$(STACKDIST_COVER_MIN) 'BEGIN { \
-		if (t+0 < min+0) { printf "internal/stackdist coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
-		printf "internal/stackdist coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@br=$$($(GO) test -short -count=1 -cover ./internal/batchreplay | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
-	awk -v t=$$br -v min=$(BATCHREPLAY_COVER_MIN) 'BEGIN { \
-		if (t+0 < min+0) { printf "internal/batchreplay coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
-		printf "internal/batchreplay coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@ex=$$($(GO) test -short -count=1 -cover ./internal/explain | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
-	awk -v t=$$ex -v min=$(EXPLAIN_COVER_MIN) 'BEGIN { \
-		if (t+0 < min+0) { printf "internal/explain coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
-		printf "internal/explain coverage %.1f%% meets the %.1f%% gate\n", t, min }'
+	@for pair in internal/stackdist:$(STACKDIST_COVER_MIN) internal/batchreplay:$(BATCHREPLAY_COVER_MIN) \
+		internal/explain:$(EXPLAIN_COVER_MIN); do \
+		pkg=$${pair%%:*}; min=$${pair#*:}; \
+		pct=$$($(GO) test -short -count=1 -cover ./$$pkg | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
+		awk -v t=$$pct -v min=$$min -v pkg=$$pkg 'BEGIN { \
+			if (t+0 < min+0) { printf "%s coverage %.1f%% is below the %.1f%% gate\n", pkg, t, min; exit 1 } \
+			printf "%s coverage %.1f%% meets the %.1f%% gate\n", pkg, t, min }' || exit 1; \
+	done
 
 # End-to-end daemon smoke: build gippr-serve, drive the v1 job API with
 # curl against an ephemeral port, and require SIGTERM to drain with exit 0.
@@ -83,8 +79,8 @@ serve-smoke: build
 # Deprecation hygiene. The grep half needs no tooling: every Deprecated
 # marker must be a well-formed godoc paragraph ("// Deprecated: ") naming a
 # replacement, so the notes render and SA1019 can see them. The staticcheck
-# half then enforces that nothing in-tree (outside the wrappers' own
-# contract tests) calls a deprecated symbol; it is skipped with a notice
+# half then enforces that nothing in-tree calls a deprecated symbol; it is
+# skipped with a notice
 # when the binary is not installed (CI installs it; we add no deps here).
 staticcheck:
 	@bad=$$(grep -rn "Deprecated:" --include='*.go' --exclude-dir=testdata . \

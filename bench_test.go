@@ -545,13 +545,18 @@ func BenchmarkReplayStream(b *testing.B) {
 // single-vector GIPPR over every GA stream of the lab, which ga.Env replays
 // set by set from each stream's grouped layout. The baselines and layouts
 // are settled before timing. It runs on one worker, so ns/record is host
-// time per replayed LLC record.
+// time per replayed LLC record. probe_free_share is the share of those
+// records that lie in the sets' pre-eviction prefixes, which the grouped
+// replay moves through with no tag probe (DESIGN.md §16).
 func BenchmarkGAFitness(b *testing.B) {
 	env := lab().GAEnv().SetWorkers(1)
 	env.Fitness(ipv.PaperWIGIPPR)
-	records := 0
+	records, probeFree := 0, 0
 	for _, s := range env.Streams() {
 		records += len(s.Records)
+		if g := cache.Group(s.Records, env.Config, int(float64(len(s.Records))*env.WarmFrac)); g != nil {
+			probeFree += g.ProbeFree()
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -559,6 +564,7 @@ func BenchmarkGAFitness(b *testing.B) {
 		env.Fitness(ipv.PaperWIGIPPR)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+	b.ReportMetric(float64(probeFree)/float64(records), "probe_free_share")
 }
 
 func BenchmarkPolicyLRU(b *testing.B) {

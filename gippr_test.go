@@ -59,9 +59,12 @@ func TestAllPolicyConstructors(t *testing.T) {
 	}
 }
 
-func TestDefaultHierarchyEndToEnd(t *testing.T) {
-	//lint:ignore SA1019 the deprecated wrapper's behaviour is the contract under test
-	h := DefaultHierarchy(NewDGIPPR4(LLCConfig().Sets(), LLCConfig().Ways, PaperWI4DGIPPR))
+func TestSessionHierarchyEndToEnd(t *testing.T) {
+	s, err := New(LLCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Hierarchy(NewDGIPPR4(LLCConfig().Sets(), LLCConfig().Ways, PaperWI4DGIPPR))
 	w, err := WorkloadByName("lbm_like")
 	if err != nil {
 		t.Fatal(err)

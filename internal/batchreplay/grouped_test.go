@@ -146,6 +146,116 @@ func TestGroupedEdgeStreams(t *testing.T) {
 	}
 }
 
+// setStream returns n records for set set of cfg that cycle through
+// distinct blocks in a seeded random order: the first distinct records
+// touch blocks 0..distinct-1 in turn, the rest pick among them at random.
+// Every third record writes.
+func setStream(n, set, distinct int, cfg cache.Config, seed uint64) []trace.Record {
+	rng := xrand.New(seed)
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		tag := i
+		if i >= distinct {
+			tag = rng.Intn(distinct)
+		}
+		recs[i] = trace.Record{
+			Addr:  uint64(tag*cfg.Sets()+set) * uint64(cfg.BlockBytes),
+			Gap:   uint32(rng.Intn(8)) + 1,
+			Write: rng.Intn(3) == 0,
+		}
+	}
+	return recs
+}
+
+// TestGroupedPrefixBoundaries holds the pre-eviction prefix to the other
+// engines where it ends: in a set that touches exactly ways distinct blocks
+// (the prefix is the whole set) and in one that touches ways+1 (it ends at
+// the first touch of the last block), with the warm boundary before, at and
+// after the prefix's end, at every supported associativity, at full
+// fidelity and sampled.
+func TestGroupedPrefixBoundaries(t *testing.T) {
+	for _, ways := range []int{2, 4, 16, 64} {
+		cfg := cache.Config{Name: fmt.Sprintf("p4x%d", ways), SizeBytes: 4 * ways * 64, Ways: ways,
+			BlockBytes: 64, HitLatency: 30}
+		n := 8 * ways
+		// Set 1 never evicts; set 2 evicts once its block ways+1 arrives,
+		// at record ways of its own records.
+		full := setStream(n, 1, ways, cfg, uint64(ways))
+		over := setStream(n, 2, ways+1, cfg, uint64(ways)+1)
+		for _, vec := range []ipv.Vector{ipv.LRU(ways), ipv.LIP(ways), ipv.MidClimb(ways)} {
+			for _, warm := range []int{0, ways - 1, ways, ways + 1, n} {
+				for _, shift := range []int{0, 1} {
+					c := cfg
+					if shift > 0 {
+						sh, err := c.CheckSampleShift(shift)
+						if err != nil {
+							t.Fatal(err)
+						}
+						c.SampleShift = sh
+					}
+					what := fmt.Sprintf("%s vec %v warm %d shift %d", c.Name, vec, warm, shift)
+					if g := cache.Group(full, c, warm); g.ProbeFree() != len(full) {
+						t.Fatalf("%s: ways distinct blocks: %d of %d records probe-free", what, g.ProbeFree(), len(full))
+					}
+					r, _ := replayThree(t, full, c, vec, warm)
+					r.check(t, what+" (ways distinct)")
+					if r.grouped.Evictions != 0 {
+						t.Fatalf("%s: a set of ways distinct blocks evicted: %+v", what, r.grouped)
+					}
+					if g := cache.Group(over, c, warm); g.ProbeFree() != ways {
+						t.Fatalf("%s: ways+1 distinct blocks: %d records probe-free, want %d", what, g.ProbeFree(), ways)
+					}
+					r, _ = replayThree(t, over, c, vec, warm)
+					r.check(t, what+" (ways+1 distinct)")
+					both := append(append([]trace.Record(nil), full...), over...)
+					r, _ = replayThree(t, both, c, vec, warm)
+					r.check(t, what+" (both sets)")
+				}
+			}
+		}
+	}
+}
+
+// TestGroupedPrefixWriteBack pins the dirty mask a prefix hands to the
+// rest of its set: a block written on its first touch, read after that, is
+// written back when the set later evicts it, with the write in the warm-up
+// or in the measured window.
+func TestGroupedPrefixWriteBack(t *testing.T) {
+	cfg := cache.Config{Name: "wb", SizeBytes: 2 * 4 * 64, Ways: 4, BlockBytes: 64, HitLatency: 30}
+	// Set 0: block 0 is written on its first touch, then blocks 1..3 fill
+	// the set and 0 is read again; a stream of new blocks then evicts
+	// everything, block 0 included.
+	var stream []trace.Record
+	add := func(tag int, write bool) {
+		stream = append(stream, trace.Record{Addr: uint64(tag*cfg.Sets()) * 64, Gap: 1, Write: write})
+	}
+	add(0, true)
+	for tag := 1; tag < 4; tag++ {
+		add(tag, false)
+	}
+	add(0, false)
+	for tag := 4; tag < 12; tag++ {
+		add(tag, false)
+	}
+	if g := cache.Group(stream, cfg, 0); g.ProbeFree() != 5 {
+		t.Fatalf("%d records probe-free, want 5", g.ProbeFree())
+	}
+	// Under PLRU the eight new blocks evict all four ways; under LIP they
+	// only evict each other, and block 0 stays.
+	for _, tc := range []struct {
+		vec        ipv.Vector
+		writebacks uint64
+	}{{ipv.LRU(cfg.Ways), 1}, {ipv.LIP(cfg.Ways), 0}} {
+		for _, warm := range []int{0, 1, 5} {
+			r, _ := replayThree(t, stream, cfg, tc.vec, warm)
+			r.check(t, fmt.Sprintf("vec %v warm %d", tc.vec, warm))
+			if r.grouped.Writebacks != tc.writebacks {
+				t.Fatalf("vec %v warm %d: %d write-backs, want %d", tc.vec, warm, r.grouped.Writebacks, tc.writebacks)
+			}
+		}
+	}
+}
+
 // TestGroupRefusesWideTags pins the 31-bit fallback: one record whose tag
 // needs 32 bits makes the whole stream ungroupable, while a tag of exactly
 // 31 bits still groups and replays identically.
@@ -200,12 +310,16 @@ func TestReplayGroupedMisuse(t *testing.T) {
 			k.AccessBlock(stream[:4], &hits)
 		},
 		"other geometry": func() {
-			kernel().ReplayGrouped(batchreplay.Group(stream, 16, 6, 10))
+			kernel().ReplayGrouped(batchreplay.Group(stream, 16, 4, 6, 10))
 		},
 		"other block size": func() {
-			kernel().ReplayGrouped(batchreplay.Group(stream, 8, 7, 10))
+			kernel().ReplayGrouped(batchreplay.Group(stream, 8, 4, 7, 10))
 		},
-		"non-pow2 sets": func() { batchreplay.Group(stream, 6, 6, 0) },
+		"other ways": func() {
+			kernel().ReplayGrouped(batchreplay.Group(stream, 8, 8, 6, 10))
+		},
+		"non-pow2 sets":    func() { batchreplay.Group(stream, 6, 4, 6, 0) },
+		"unsupported ways": func() { batchreplay.Group(stream, 8, 3, 6, 0) },
 	}
 	for name, fn := range cases {
 		func() {

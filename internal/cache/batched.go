@@ -91,11 +91,12 @@ func (p *PackedReplay) ReplayGrouped(g *batchreplay.Grouped) ReplayStats {
 	return replayStats(r)
 }
 
-// Group builds stream's set-grouped layout for cfg's geometry and the given
-// warm length, or returns nil when the stream cannot be grouped (a tag
-// wider than 31 bits); see batchreplay.Group.
+// Group builds stream's set-grouped layout for cfg's geometry (sets, ways
+// and block size) and the given warm length, or returns nil when the stream
+// cannot be grouped (a tag wider than 31 bits); see batchreplay.Group.
+// cfg.Ways must be in the kernel's domain (batchreplay.Supported).
 func Group(stream []trace.Record, cfg Config, warm int) *batchreplay.Grouped {
-	return batchreplay.Group(stream, cfg.Sets(), cfg.blockShift(), warm)
+	return batchreplay.Group(stream, cfg.Sets(), cfg.Ways, cfg.blockShift(), warm)
 }
 
 func replayStats(r batchreplay.Result) ReplayStats {

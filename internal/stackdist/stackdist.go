@@ -19,10 +19,10 @@
 //
 // Tree-PLRU has no inclusion property (a taller tree is not a superset of a
 // shorter one), so PLRU points cannot come out of a stack histogram.
-// Instead the engine drives one real cache.Cache with policy.NewPLRU per
-// configured geometry inside the same record loop — grouped simulation in
-// the style of cpu.MultiWindowReplay — so PLRU results are exact by
-// construction, and the stream is still only decoded and walked once.
+// Instead, after the LRU walk, the engine replays the stream in order once
+// per configured PLRU geometry on the batched tree-PLRU kernel
+// (cache.NewPackedReplay), which is bit-identical to a scalar cache.Cache
+// under policy.NewPLRU, so PLRU results are exact by construction.
 package stackdist
 
 import (
@@ -242,12 +242,14 @@ func (f *forest) access(block uint64, maxW int, measured bool) {
 	s[0] = block
 }
 
-// Run walks the stream once and returns exact results for every lattice
-// point and PLRU geometry. The first opts.Warm accesses only warm the
-// stacks and caches (mirroring cache.ReplayStream's warm-up contract);
-// counts describe the remainder. Instructions is the sum of record gaps
-// over the measured window, the same denominator every per-geometry replay
-// feeds stats.MPKI, so MPKI values are bit-identical to per-point replays.
+// Run returns exact results for every lattice point and PLRU geometry: one
+// walk of the stream scores the whole LRU lattice, and one batched-kernel
+// replay per PLRU geometry scores that geometry. The first opts.Warm
+// accesses only warm the stacks and caches (mirroring cache.ReplayStream's
+// warm-up contract); counts describe the remainder. Instructions is the sum
+// of record gaps over the measured window, the same denominator every
+// per-geometry replay feeds stats.MPKI, so MPKI values are bit-identical to
+// per-point replays.
 func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -272,37 +274,17 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 		}
 	}
 
-	plru := make([]*cache.Cache, len(opts.PLRU))
-	for i, g := range opts.PLRU {
-		cfg := cache.Config{
-			Name:       fmt.Sprintf("plru-%dx%d", g.Sets, g.Ways),
-			SizeBytes:  g.Sets * g.Ways * opts.BlockBytes,
-			Ways:       g.Ways,
-			BlockBytes: opts.BlockBytes,
-		}
-		plru[i] = cache.New(cfg, policy.NewPLRU(g.Sets, g.Ways))
-	}
-
 	for _, r := range stream[:warm] {
 		block := r.Addr >> blockShift
 		for i := range forests {
 			forests[i].access(block, maxW, false)
 		}
-		for _, c := range plru {
-			c.Access(r)
-		}
-	}
-	for _, c := range plru {
-		c.ResetStats()
 	}
 	var accesses, instrs uint64
 	for _, r := range stream[warm:] {
 		block := r.Addr >> blockShift
 		for i := range forests {
 			forests[i].access(block, maxW, true)
-		}
-		for _, c := range plru {
-			c.Access(r)
 		}
 		accesses++
 		instrs += uint64(r.Gap)
@@ -322,8 +304,18 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 			})
 		}
 	}
-	for i, g := range opts.PLRU {
-		st := plru[i].Stats
+	for _, g := range opts.PLRU {
+		cfg := cache.Config{
+			Name:       fmt.Sprintf("plru-%dx%d", g.Sets, g.Ways),
+			SizeBytes:  g.Sets * g.Ways * opts.BlockBytes,
+			Ways:       g.Ways,
+			BlockBytes: opts.BlockBytes,
+		}
+		pr, ok := cache.NewPackedReplay(cfg, policy.NewPLRU(g.Sets, g.Ways))
+		if !ok {
+			panic(fmt.Sprintf("stackdist: tree-PLRU geometry %dx%d outside the batched kernel", g.Sets, g.Ways)) // unreachable: Validate
+		}
+		st := pr.Replay(stream, warm)
 		sw.Results = append(sw.Results, GeometryResult{
 			Policy: PolicyPLRU, Sets: g.Sets, Ways: g.Ways,
 			Accesses: st.Accesses, Hits: st.Hits, Misses: st.Misses,

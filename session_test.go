@@ -181,23 +181,6 @@ func TestSessionSweep(t *testing.T) {
 	}
 }
 
-// The deprecated wrappers must keep working verbatim.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	//lint:ignore SA1019 the wrapper's behaviour is the contract under test
-	h := DefaultHierarchy(NewPLRU(4096, 16))
-	for _, r := range sessionStream(2_000) {
-		h.Access(r)
-	}
-	if h.L3.Stats.Accesses == 0 {
-		t.Error("DefaultHierarchy LLC saw no accesses")
-	}
-	//lint:ignore SA1019 the wrapper's behaviour is the contract under test
-	env := NewEvolveEnv(LLCConfig(), 1.0/3, []EvolveStream{{Workload: "t", Weight: 1, Records: sessionStream(4_000)}})
-	if env == nil {
-		t.Fatal("NewEvolveEnv returned nil")
-	}
-}
-
 // Session.Explain: the facade path of the explain engine. A small-cache
 // diff must decompose exactly, honour the warm-up contract, leave the
 // session's own sink untouched, and surface typed errors.
