@@ -141,6 +141,41 @@ func TestSessionHierarchyAndEvolveEnv(t *testing.T) {
 	}
 }
 
+// The removed DefaultHierarchy and NewEvolveEnv wrappers named
+// New(LLCConfig()).Hierarchy and Session.EvolveEnv as their replacements:
+// the first must build exactly the hierarchy the wrapper built (LRU L1/L2
+// at the paper geometry, the given policy at the LLC), and the second must
+// still yield a usable fitness environment.
+func TestDeprecatedWrappersStillWork(t *testing.T) {
+	s, err := New(LLCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Hierarchy(NewPLRU(4096, 16))
+	l1, l2 := L1Config(), L2Config()
+	want := NewHierarchy(
+		NewCache(l1, NewLRU(l1.Sets(), l1.Ways)),
+		NewCache(l2, NewLRU(l2.Sets(), l2.Ways)),
+		NewCache(LLCConfig(), NewPLRU(4096, 16)),
+	)
+	for _, r := range sessionStream(2_000) {
+		h.Access(r)
+		want.Access(r)
+	}
+	if h.L3.Stats.Accesses == 0 {
+		t.Error("session hierarchy LLC saw no accesses")
+	}
+	if h.L1.Stats != want.L1.Stats || h.L2.Stats != want.L2.Stats || h.L3.Stats != want.L3.Stats {
+		t.Errorf("session hierarchy stats %+v/%+v/%+v differ from the paper hierarchy's %+v/%+v/%+v",
+			h.L1.Stats, h.L2.Stats, h.L3.Stats, want.L1.Stats, want.L2.Stats, want.L3.Stats)
+	}
+
+	env := s.EvolveEnv(1.0/3, []EvolveStream{{Workload: "t", Weight: 1, Records: sessionStream(4_000)}})
+	if env == nil {
+		t.Fatal("EvolveEnv returned nil")
+	}
+}
+
 // Session.Sweep fills zero-valued geometry fields from the Session's own
 // LLC, its LRU lattice point at that geometry agrees exactly with a plain
 // true-LRU replay, and impossible sweeps fail up front with the typed
